@@ -22,10 +22,12 @@ race:
 
 # Run every Go benchmark once (liveness), then write a machine-readable
 # BENCH_new.json snapshot and gate it against the committed baseline —
-# the same sequence as the CI bench job.
+# the same sequence as the CI bench job. Snapshots are taken at
+# GOMAXPROCS=2, the baseline's; benchdiff refuses to compare across CPU
+# counts.
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
-	$(GO) run ./cmd/daelite-bench -json -o BENCH_new.json
+	GOMAXPROCS=2 $(GO) run ./cmd/daelite-bench -json -o BENCH_new.json
 
 benchdiff: bench
 	$(GO) run ./cmd/daelite-benchdiff BENCH_baseline.json BENCH_new.json
@@ -33,7 +35,7 @@ benchdiff: bench
 # Re-measure and commit a new perf baseline (do this when a deliberate
 # perf change moves the gated benchmarks).
 bench-baseline:
-	$(GO) run ./cmd/daelite-bench -json -o BENCH_baseline.json
+	GOMAXPROCS=2 $(GO) run ./cmd/daelite-bench -json -o BENCH_baseline.json
 
 # Regenerate every table/figure of the paper's evaluation.
 experiments:
@@ -70,7 +72,7 @@ conform:
 	$(GO) run ./cmd/daelite-conform -scenarios 25 -seed 1
 
 # The CI workloads gate: both example application packs swept across
-# kernel worker counts with fast-forward checked against the
+# worker counts with fast-forward checked against the
 # cycle-accurate reference, each pack's mutation smoke, and the DNN pack
 # soaked under per-phase fault injection and repair.
 workloads:
@@ -100,7 +102,7 @@ soak:
 
 # Produce a Perfetto-loadable causal trace of a regioned 6x6 run with
 # the flight recorder armed, and verify it is byte-identical across
-# kernel worker counts — the determinism contract the CI jobs gate.
+# -workers values — the determinism contract the CI jobs gate.
 trace:
 	$(GO) run ./cmd/daelite-sim -mesh 6x6 -workers 1 -cycles 2000 -trace-out trace_w1.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
 	$(GO) run ./cmd/daelite-sim -mesh 6x6 -workers 2 -cycles 2000 -trace-out trace.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1

@@ -41,7 +41,7 @@ func main() {
 	flag.BoolVar(&listOnly, "list", false, "list experiments without running them")
 	flag.StringVar(&outPath, "o", "", "also write the output to this file (with -json: the snapshot path)")
 	flag.BoolVar(&jsonOut, "json", false, "emit a BENCH_<rev>.json machine-readable snapshot instead of tables")
-	flag.IntVar(&workers, "workers", 0, "simulation kernel workers for experiment platforms (0 = one per CPU, 1 = sequential)")
+	flag.IntVar(&workers, "workers", 0, "allocator batch workers for experiment platforms (0 = one per CPU; tables are identical, the simulation kernel is sequential)")
 	flag.BoolVar(&fastforward, "fastforward", false, "arm fast-forwarding on experiment platforms (tables stay bit-identical; only wall clock changes)")
 	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&memProfile, "memprofile", "", "write a heap profile at exit to this file")
@@ -154,7 +154,7 @@ func main() {
 
 func wantsScaling(which string) bool {
 	w := strings.ToLower(which)
-	return strings.EqualFold(which, "E16") || strings.Contains("parallel kernel scaling", w)
+	return strings.EqualFold(which, "E16") || strings.Contains("kernel throughput", w)
 }
 
 func wantsAdmission(which string) bool {
@@ -205,7 +205,7 @@ func list() {
 	fmt.Println("E13  use-case switching under traffic")
 	fmt.Println("E14  attained vs reserved bandwidth under saturation")
 	fmt.Println("E15  repair latency under a link failure (chaos)")
-	fmt.Println("E16  parallel kernel scaling (cycles/sec vs mesh size vs workers; not in golden output)")
+	fmt.Println("E16  sequential kernel throughput (cycles/sec vs mesh size; not in golden output)")
 	fmt.Println("E17  batch admission throughput (set-ups/sec vs mesh size vs workers; not in golden output)")
 	fmt.Println("E18  conformance: sim-vs-model differential sweep + mutation smoke")
 	fmt.Println("E19  control-plane admission service under multi-tenant load (req/s, fairness, restart replay; not in golden output)")
@@ -276,14 +276,33 @@ func (r *relay) Name() string      { return r.name }
 func (r *relay) Eval(cycle uint64) { r.out.Set(r.in.Get() + 1) }
 func (r *relay) Commit()           {}
 
-func newChain(workers, n int) *sim.Simulator {
-	s := sim.NewWithOptions(sim.Options{Workers: workers})
+// sparseRelay is a relay that writes in one cycle out of ten, staggered
+// by its position, so a chain of them writes a rotating tenth of its
+// registers per cycle (mirrors BenchmarkKernelStep4096Sparse).
+type sparseRelay struct {
+	relay
+	phase uint64
+}
+
+func (r *sparseRelay) Eval(cycle uint64) {
+	if (cycle+r.phase)%10 == 0 {
+		r.relay.Eval(cycle)
+	}
+}
+
+func newChain(n int, sparse bool) *sim.Simulator {
+	s := sim.New()
 	regs := make([]*sim.Reg[int], n+1)
 	for i := range regs {
 		regs[i] = sim.NewReg(s, 0)
 	}
 	for i := 0; i < n; i++ {
-		s.Add(&relay{name: fmt.Sprintf("r%d", i), in: regs[i], out: regs[i+1]})
+		r := relay{name: fmt.Sprintf("r%d", i), in: regs[i], out: regs[i+1]}
+		if sparse {
+			s.Add(&sparseRelay{relay: r, phase: uint64(i)})
+		} else {
+			s.Add(&r)
+		}
 	}
 	return s
 }
@@ -366,22 +385,20 @@ func writeJSON(outPath string) error {
 		CalibrationNsPerOp: calibrate(),
 		Benchmarks:         map[string]benchfmt.Entry{},
 	}
-	ncpu := runtime.GOMAXPROCS(0)
 
-	// Micro-benchmarks: the raw kernel (relay chains) sequential and
-	// parallel, and the loaded 4x4 platform.
+	// Micro-benchmarks: the raw kernel (relay chains, fully and 10%
+	// written per cycle) and the loaded 4x4 platform.
 	for _, mb := range []struct {
-		name    string
-		workers int
-		n       int
+		name   string
+		n      int
+		sparse bool
 	}{
-		{"BenchmarkKernelStep256", 1, 256},
-		{"BenchmarkKernelStep4096", 1, 4096},
-		{"BenchmarkKernelStep4096Par", ncpu, 4096},
+		{"BenchmarkKernelStep256", 256, false},
+		{"BenchmarkKernelStep4096", 4096, false},
+		{"BenchmarkKernelStep4096Sparse", 4096, true},
 	} {
-		s := newChain(mb.workers, mb.n)
+		s := newChain(mb.n, mb.sparse)
 		f.Benchmarks[mb.name] = perCycle(measure(func() { s.Step() }), 1)
-		s.Shutdown()
 	}
 	for _, pb := range []struct {
 		name      string
@@ -403,20 +420,11 @@ func writeJSON(outPath string) error {
 		return err
 	}
 	f.Benchmarks["BenchmarkPlatformCycleFastForward"] = perCycle(measure(ffOp), float64(ffPeriod))
-	for _, mb := range []struct {
-		name    string
-		workers int
-	}{
-		{"BenchmarkBigMesh16x16", 1},
-		{"BenchmarkBigMesh16x16Par", 0},
-	} {
-		bm, err := experiments.BuildBigMesh(16, 16, 8, mb.workers)
-		if err != nil {
-			return err
-		}
-		f.Benchmarks[mb.name] = perCycle(measure(func() { bm.Run(1) }), 1)
-		bm.Sim.Shutdown()
+	bm, err := experiments.BuildBigMesh(16, 16, 8)
+	if err != nil {
+		return err
 	}
+	f.Benchmarks["BenchmarkBigMesh16x16"] = perCycle(measure(func() { bm.Run(1) }), 1)
 
 	// Admission engine: the sequential churn workload (the allocator hot
 	// path end to end) and the parallel batch engine, mirroring the

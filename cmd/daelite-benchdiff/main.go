@@ -10,7 +10,10 @@
 //
 // Benchmarks matching -bench are held to the threshold; everything else
 // is reported for context but never fails the run. A gated benchmark
-// present in old.json but missing from new.json is a failure too.
+// present in old.json but missing from new.json is a failure too, and so
+// is one whose two snapshots were taken at different GOMAXPROCS: it is
+// reported as INCOMPARABLE, because a ratio across CPU counts measures
+// the machine, not the change.
 package main
 
 import (
@@ -82,6 +85,9 @@ func run(argv []string, out, errOut io.Writer) int {
 		if d.Regression {
 			mark = "REGRESSION"
 		}
+		if d.Incomparable {
+			mark = fmt.Sprintf("INCOMPARABLE (GOMAXPROCS %d vs %d)", old.GOMAXPROCS, new.GOMAXPROCS)
+		}
 		fmt.Fprintf(out, "%-32s %14.2f %14.2f %8.3f %s\n", d.Name, d.OldNorm, d.NewNorm, d.Ratio, mark)
 	}
 	for _, name := range c.MissingInNew {
@@ -89,8 +95,8 @@ func run(argv []string, out, errOut io.Writer) int {
 	}
 
 	if c.Failed() {
-		fmt.Fprintf(errOut, "\nFAIL: %d regression(s) beyond %.0f%%, %d gated benchmark(s) missing\n",
-			len(c.Regressions()), *threshold*100, len(c.MissingInNew))
+		fmt.Fprintf(errOut, "\nFAIL: %d regression(s) beyond %.0f%%, %d gated benchmark(s) missing, %d incomparable\n",
+			len(c.Regressions()), *threshold*100, len(c.MissingInNew), len(c.Incomparable()))
 		return 1
 	}
 	fmt.Fprintf(out, "\nOK: no gated benchmark regressed beyond %.0f%%\n", *threshold*100)

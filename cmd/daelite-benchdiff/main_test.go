@@ -11,10 +11,15 @@ import (
 
 func writeSnapshot(t *testing.T, dir, name string, cal float64, benches map[string]float64) string {
 	t.Helper()
+	return writeSnapshotProcs(t, dir, name, 1, cal, benches)
+}
+
+func writeSnapshotProcs(t *testing.T, dir, name string, procs int, cal float64, benches map[string]float64) string {
+	t.Helper()
 	f := &benchfmt.File{
 		Rev:                name,
 		GoVersion:          "go0.0",
-		GOMAXPROCS:         1,
+		GOMAXPROCS:         procs,
 		CalibrationNsPerOp: cal,
 		Benchmarks:         map[string]benchfmt.Entry{},
 	}
@@ -103,5 +108,30 @@ func TestBadUsageExitsTwo(t *testing.T) {
 	}
 	if code := run([]string{"-bench", "([", "a.json", "b.json"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad regex exit code = %d, want 2", code)
+	}
+}
+
+// TestGOMAXPROCSMismatchIsIncomparable: a gated pair measured at
+// different GOMAXPROCS is reported as incomparable and fails the run,
+// even when its ratio would pass; ungated entries stay informational.
+func TestGOMAXPROCSMismatchIsIncomparable(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnapshotProcs(t, dir, "old", 1, 100, map[string]float64{
+		"BenchmarkKernelStep4096": 700,
+		"E3":                      9e6,
+	})
+	new := writeSnapshotProcs(t, dir, "new", 2, 100, map[string]float64{
+		"BenchmarkKernelStep4096": 650,
+		"E3":                      9e6,
+	})
+	var out, errOut bytes.Buffer
+	if code := run([]string{old, new}, &out, &errOut); code != 1 {
+		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "INCOMPARABLE (GOMAXPROCS 1 vs 2)") || !strings.Contains(errOut.String(), "1 incomparable") {
+		t.Fatalf("missing incomparable report\nstdout:\n%s\nstderr:\n%s", out.String(), errOut.String())
+	}
+	if strings.Contains(out.String(), "REGRESSION") {
+		t.Fatalf("an incomparable pair was judged as a regression:\n%s", out.String())
 	}
 }

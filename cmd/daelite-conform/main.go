@@ -1,6 +1,6 @@
 // Command daelite-conform runs the conformance harness from the command
 // line: a differential sweep of seeded random scenarios — each executed
-// under several kernel worker counts with the online invariant checkers
+// under several worker counts with the online invariant checkers
 // attached and compared against the analytical reference model — followed
 // by the mutation smoke drill (seeded slot-table and credit corruptions
 // the checkers must catch). Any disagreement, invariant violation or

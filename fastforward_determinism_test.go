@@ -3,7 +3,7 @@ package daelite
 // The fast-forward determinism soak: a seeded chaos run — bounded
 // traffic, link failures, stall detection, online repair, a teardown,
 // and a long settled tail — executed cycle-accurately and with
-// model-guided fast-forwarding, under several kernel worker counts.
+// model-guided fast-forwarding, under several worker counts.
 // Everything observable must be byte-identical: the wire fingerprint,
 // the rendered telemetry exports (Prometheus text and NDJSON) and the
 // causal-trace exports (Chrome JSON and NDJSON). The bounded sources
@@ -48,7 +48,6 @@ func runFastForwardSoak(t *testing.T, workers int, ff bool, seed uint64, cycles 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	p.AttachTelemetry(reg, 8)
 	tr := tracing.New(tracing.Options{})
@@ -152,7 +151,7 @@ func runFastForwardSoak(t *testing.T, workers int, ff bool, seed uint64, cycles 
 // TestFastForwardExportsByteIdentical is the tentpole's correctness
 // contract end to end: fingerprints, telemetry exports and trace exports
 // of the chaos soak are byte-identical between cycle-accurate and
-// fast-forwarded execution, under every kernel worker count — and the
+// fast-forwarded execution, under every worker count — and the
 // fast-forwarded runs actually skipped a substantial stretch.
 func TestFastForwardExportsByteIdentical(t *testing.T) {
 	const seed, cycles = 42, 12000

@@ -95,10 +95,14 @@ type Delta struct {
 	// Ratio is NewNorm / OldNorm: > 1 means slower.
 	Ratio float64
 	// Regression is true when the benchmark is gated (matched the gate
-	// pattern) and Ratio exceeded 1 + threshold.
+	// pattern), comparable, and Ratio exceeded 1 + threshold.
 	Regression bool
 	// Gated records whether the regression threshold applied to it.
 	Gated bool
+	// Incomparable marks a gated benchmark whose two snapshots were
+	// taken at different GOMAXPROCS: a ratio across CPU counts says
+	// nothing about the code, so the pair can neither pass nor regress.
+	Incomparable bool
 }
 
 // Comparison is the full result of comparing two files.
@@ -112,24 +116,36 @@ type Comparison struct {
 
 // Regressions returns the failed deltas.
 func (c *Comparison) Regressions() []Delta {
+	return c.filter(func(d Delta) bool { return d.Regression })
+}
+
+// Incomparable returns the gated deltas measured at different
+// GOMAXPROCS.
+func (c *Comparison) Incomparable() []Delta {
+	return c.filter(func(d Delta) bool { return d.Incomparable })
+}
+
+func (c *Comparison) filter(keep func(Delta) bool) []Delta {
 	var out []Delta
 	for _, d := range c.Deltas {
-		if d.Regression {
+		if keep(d) {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// Failed reports whether the comparison should fail a build.
+// Failed reports whether the comparison should fail a build: a gated
+// benchmark regressed, went missing, or cannot be compared.
 func (c *Comparison) Failed() bool {
-	return len(c.Regressions()) > 0 || len(c.MissingInNew) > 0
+	return len(c.Regressions()) > 0 || len(c.MissingInNew) > 0 || len(c.Incomparable()) > 0
 }
 
 // Compare evaluates new against old. Benchmarks whose name matches gate
 // are held to the threshold (e.g. 0.20 fails on >20% normalized
 // slowdown); everything else is reported but never fails. A nil gate
-// gates every benchmark.
+// gates every benchmark. When the files differ in GOMAXPROCS every
+// gated benchmark present in both is marked Incomparable instead.
 func Compare(old, new *File, threshold float64, gate *regexp.Regexp) (*Comparison, error) {
 	if threshold < 0 {
 		return nil, fmt.Errorf("benchfmt: negative threshold")
@@ -144,6 +160,7 @@ func Compare(old, new *File, threshold float64, gate *regexp.Regexp) (*Compariso
 	}
 	sort.Strings(names)
 
+	sameProcs := old.GOMAXPROCS == new.GOMAXPROCS
 	c := &Comparison{}
 	for _, name := range names {
 		gated := gate == nil || gate.MatchString(name)
@@ -165,7 +182,8 @@ func Compare(old, new *File, threshold float64, gate *regexp.Regexp) (*Compariso
 			Gated:   gated,
 		}
 		d.Ratio = d.NewNorm / d.OldNorm
-		d.Regression = gated && d.Ratio > 1+threshold
+		d.Incomparable = gated && !sameProcs
+		d.Regression = gated && sameProcs && d.Ratio > 1+threshold
 		c.Deltas = append(c.Deltas, d)
 	}
 	return c, nil

@@ -112,3 +112,21 @@ func TestCompareRejectsBadInputs(t *testing.T) {
 		t.Fatal("missing calibration accepted")
 	}
 }
+
+func TestCompareGOMAXPROCSMismatchIsIncomparable(t *testing.T) {
+	old := file(100, map[string]float64{"BenchmarkPlatformCycle": 1000, "E3": 5})
+	new := file(100, map[string]float64{"BenchmarkPlatformCycle": 2000, "E3": 5})
+	new.GOMAXPROCS = old.GOMAXPROCS + 1
+	gate := regexp.MustCompile(`^Benchmark`)
+	c, err := Compare(old, new, 0.20, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Failed() || len(c.Incomparable()) != 1 || len(c.Regressions()) != 0 {
+		t.Fatalf("mismatched GOMAXPROCS not reported as one incomparable pair: %+v", c)
+	}
+	new.GOMAXPROCS = old.GOMAXPROCS
+	if c, _ := Compare(old, new, 0.20, gate); len(c.Incomparable()) != 0 || len(c.Regressions()) != 1 {
+		t.Fatalf("equal GOMAXPROCS should compare normally: %+v", c)
+	}
+}

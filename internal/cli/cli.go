@@ -33,8 +33,9 @@ type PlatformFlags struct {
 	Mesh string
 	// Wheel is the TDM slot-table size.
 	Wheel int
-	// Workers is the simulation kernel parallelism (0 = one per CPU,
-	// 1 = sequential; results are identical for every value).
+	// Workers sizes the allocator's batch what-if evaluation
+	// (core.Params.Workers; 0 = one per CPU). Results are identical for
+	// every value; the simulation kernel is sequential.
 	Workers int
 	// FastForward arms model-guided fast-forwarding: the kernel skips
 	// whole hyper-periods while the platform is provably quiescent.
@@ -72,7 +73,7 @@ func RegisterPlatformFlags(fs *flag.FlagSet) *PlatformFlags {
 	f := &PlatformFlags{}
 	fs.StringVar(&f.Mesh, "mesh", "4x4", "mesh dimensions WxH")
 	fs.IntVar(&f.Wheel, "wheel", 16, "TDM slot-table size")
-	fs.IntVar(&f.Workers, "workers", 0, "simulation kernel workers (0 = one per CPU, 1 = sequential; results are identical)")
+	fs.IntVar(&f.Workers, "workers", 0, "allocator batch workers (0 = one per CPU; results are identical, the simulation kernel is sequential)")
 	fs.BoolVar(&f.FastForward, "fastforward", false, "skip whole hyper-periods while the platform is quiescent (bit-identical results)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve Prometheus metrics on this address (host:port) during the run")
 	fs.StringVar(&f.TelemetryOut, "telemetry-out", "", "write an NDJSON telemetry snapshot to this file at the end of the run")

@@ -60,7 +60,6 @@ func RunWorkload(out io.Writer, pf *PlatformFlags, run WorkloadRun) error {
 	if err != nil {
 		return err
 	}
-	defer p.Sim.Shutdown()
 	exp, err := pf.StartExporters(p)
 	if err != nil {
 		return err

@@ -99,7 +99,7 @@ func TestMutationSmoke(t *testing.T) {
 }
 
 // TestMutationSmokeParallelKernel: detection must not depend on the
-// kernel worker count.
+// worker count.
 func TestMutationSmokeParallelKernel(t *testing.T) {
 	res, err := MutationSmoke(3, 4)
 	if err != nil {

@@ -28,7 +28,6 @@ func TestFlightRecorderDumpsOnPlantedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 
 	tr := tracing.New(tracing.Options{})
 	p.AttachTracer(tr)

@@ -86,7 +86,6 @@ func MutationSmoke(seed uint64, workers int) (MutationResult, error) {
 	p.Run(256)
 	res.SlotTableViolations = ck.ViolationCount(CheckTable) + ck.ViolationCount(CheckContention)
 	res.Events += len(reg.Events())
-	p.Sim.Shutdown()
 
 	// 2. Credit-accounting corruption: a rogue write sets the source
 	// credit counter far above the receive queue capacity.
@@ -114,6 +113,5 @@ func MutationSmoke(seed uint64, workers int) (MutationResult, error) {
 	p.Run(256)
 	res.CreditViolations = ck.ViolationCount(CheckCredit)
 	res.Events += len(reg.Events())
-	p.Sim.Shutdown()
 	return res, nil
 }

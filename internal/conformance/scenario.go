@@ -171,7 +171,6 @@ func run(sc *Scenario, workers int, ff bool) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("conformance: build %dx%d: %w", sc.Width, sc.Height, err)
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	ck := Attach(p, reg, Options{LineRate: true})
 	model := NewModel(p)

@@ -1,7 +1,7 @@
 package conformance
 
 // The differential sweep: every seeded scenario is executed once per
-// kernel worker count, and the runs must agree bit for bit — same
+// worker count, and the runs must agree bit for bit — same
 // fingerprint, same checker verdicts, same failures. Combined with the
 // per-run sim-vs-model checks this is the acceptance gate the paper's
 // guarantees are held to on every change.

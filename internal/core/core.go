@@ -58,11 +58,10 @@ type Params struct {
 	ReadTimeout uint64
 	ReadRetries int
 	ReadBackoff uint64
-	// Workers is the simulation kernel's parallelism (sim.Options): 0
-	// uses one worker per available CPU, 1 forces the sequential
-	// kernel, larger values are used as given. Small platforms fall
-	// back to the sequential path automatically, and the simulated
-	// behaviour is bit-identical for every value.
+	// Workers sizes alloc.Batch, the parallel what-if evaluation of
+	// OpenBatch: 0 uses one worker per available CPU, larger values are
+	// used as given. Results are bit-identical for every value. The
+	// simulation kernel itself is sequential and ignores it.
 	Workers int
 	// MaxRegionElements caps the elements per configuration region; 0
 	// selects 127, the full 7-bit element-ID space (ID 127 is the
@@ -190,7 +189,7 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 	if regions.Num() > cfgproto.MaxRegions {
 		return nil, fmt.Errorf("core: %d configuration regions exceed the region-ID space (%d)", regions.Num(), cfgproto.MaxRegions)
 	}
-	s := sim.NewWithOptions(sim.Options{Workers: params.Workers})
+	s := sim.New()
 	p := &Platform{
 		Sim:          s,
 		Mesh:         m,
@@ -404,11 +403,11 @@ func (lp *linkPipeline) Commit() {}
 // skipped for the cycle. This reads settled register values only, so
 // the verdict is evaluation-order independent.
 func (lp *linkPipeline) Idle() bool {
-	if lp.in.Get() != (phit.Flit{}) {
+	if !lp.in.Get().IsIdle() {
 		return false
 	}
 	for _, r := range lp.regs {
-		if r.Get() != (phit.Flit{}) {
+		if !r.Get().IsIdle() {
 			return false
 		}
 	}

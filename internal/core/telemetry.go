@@ -10,7 +10,7 @@ package core
 // disabled cost at exactly zero, bounds the enabled cost to a handful of
 // atomic stores per sampled cycle, and — because probes and the ordered
 // tail are the only writers — makes every exported value bit-identical
-// across kernel worker counts.
+// across worker counts.
 
 import (
 	"strconv"

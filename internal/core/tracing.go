@@ -13,7 +13,7 @@ package core
 // Like the telemetry harvest, the tracer costs exactly zero when
 // detached (every hook is behind a nil check) and all writers run on the
 // stepping goroutine or the caller's control loop, so exported traces
-// are byte-identical across kernel worker counts.
+// are byte-identical across worker counts.
 
 import (
 	"fmt"

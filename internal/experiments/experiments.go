@@ -30,12 +30,12 @@ func newResult(id, artifact string) *Result {
 	return &Result{ID: id, Artifact: artifact, Metrics: make(map[string]float64)}
 }
 
-// platformWorkers is the kernel parallelism every experiment platform is
-// built with; see SetWorkers.
+// platformWorkers is core.Params.Workers for every experiment platform;
+// see SetWorkers.
 var platformWorkers int
 
-// SetWorkers fixes the simulation kernel's worker count for platforms
-// built by the experiments (0 = one worker per CPU, 1 = sequential). The
+// SetWorkers fixes the allocator batch worker count (core.Params.Workers)
+// for platforms built by the experiments (0 = one worker per CPU). The
 // regenerated tables are bit-identical for every value; the knob only
 // changes wall-clock cost.
 func SetWorkers(w int) { platformWorkers = w }

@@ -65,7 +65,6 @@ func RegionSetup() (*Result, error) {
 		t.AddRow(v.name, p.Regions.Num(), "total", "-", totalCycles, totalWords, totalPred)
 		res.Metrics[fmt.Sprintf("setup_cycles_%s", v.name)] = float64(totalCycles)
 		res.Metrics[fmt.Sprintf("setup_words_%s", v.name)] = float64(totalWords)
-		p.Sim.Shutdown()
 	}
 	sb.WriteString(t.Render())
 	sb.WriteString("\nThe regioned variant pays the region-select envelope on every packet and an extra\n" +

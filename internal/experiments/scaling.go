@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"daelite/internal/core"
@@ -49,25 +47,19 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // BuildBigMesh assembles a Width x Height torus platform with the given
-// TDM wheel on the simulation kernel with the given worker count, and
-// opens one guaranteed-bandwidth connection per row through the
-// configuration trees.
-func BuildBigMesh(width, height, wheel, workers int) (*BigMesh, error) {
-	return buildBigMesh(width, height, wheel, workers, 0, false)
+// TDM wheel and opens one guaranteed-bandwidth connection per row
+// through the configuration trees.
+func BuildBigMesh(width, height, wheel int) (*BigMesh, error) {
+	return BuildBigMeshFF(width, height, wheel, 0, false)
 }
 
 // BuildBigMeshFF is BuildBigMesh with bounded sources (limit words per
 // row, 0 = unlimited) and optional fast-forwarding — the E22 harness.
 // Bounded sources drain, so the platform eventually settles and a
 // fast-forwarding kernel can start skipping hyper-periods.
-func BuildBigMeshFF(width, height, wheel, workers int, limit uint64, ff bool) (*BigMesh, error) {
-	return buildBigMesh(width, height, wheel, workers, limit, ff)
-}
-
-func buildBigMesh(width, height, wheel, workers int, limit uint64, ff bool) (*BigMesh, error) {
+func BuildBigMeshFF(width, height, wheel int, limit uint64, ff bool) (*BigMesh, error) {
 	params := core.DefaultParams()
 	params.Wheel = wheel
-	params.Workers = workers
 	params.FastForward = ff
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: width, Height: height, NIsPerRouter: 1, Wrap: true}, params, 0, 0)
 	if err != nil {
@@ -145,59 +137,48 @@ func (bm *BigMesh) Fingerprint() uint64 {
 // configuration trees), for callers that inspect set-up spans.
 func (bm *BigMesh) Connections() []*core.Connection { return bm.conns }
 
-// ScalingThroughput is experiment E16: full-system throughput (simulated
-// cycles per wall-clock second) versus mesh size and worker count, on
-// complete torus platforms set up through the real configuration path —
-// including 16x16, which only exists thanks to hierarchical config
-// regions. For every mesh size it also re-checks the determinism
-// contract: all worker counts must produce bit-identical fingerprints.
-// The cycles/sec numbers are wall-clock measurements and
-// machine-dependent, so E16 is excluded from the golden experiment
-// output (All) and surfaces through daelite-bench -json instead.
-func ScalingThroughput() (*Result, error) {
-	res := newResult("E16", "parallel kernel scaling")
-	ncpu := runtime.GOMAXPROCS(0)
-	workerSweep := []int{1, 2, ncpu}
-	if ncpu <= 2 {
-		workerSweep = []int{1, 2}
-	}
-	type size struct{ w, h int }
-	sizes := []size{{4, 4}, {8, 8}, {16, 16}}
-	const cycles = 2000
+// e16Meshes are E16's torus sizes, each with the Fingerprint it shows
+// after e16Cycles cycles, as first recorded on the full-register-sweep
+// kernel.
+var e16Meshes = []struct {
+	w, h int
+	fp   uint64
+}{
+	{4, 4, 0x33f0aff42c284e29},
+	{8, 8, 0xc2b7794daa79aa51},
+	{16, 16, 0x0f6dc73ae34d432c},
+}
 
-	t := report.NewTable("E16 — simulated cycles/sec vs mesh size vs workers (full platforms, regioned set-up)",
-		"Mesh", "Workers", "Elements", "Regions", "Cycles/sec", "Flits", "Deterministic")
-	var sb strings.Builder
-	for _, sz := range sizes {
-		var firstFP uint64
-		for i, w := range workerSweep {
-			bm, err := BuildBigMesh(sz.w, sz.h, 8, w)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			bm.Run(cycles)
-			elapsed := time.Since(start)
-			cps := float64(cycles) / elapsed.Seconds()
-			fp := bm.Fingerprint()
-			det := "-"
-			if i == 0 {
-				firstFP = fp
-			} else if fp == firstFP {
-				det = "yes"
-			} else {
-				det = "NO"
-				return nil, fmt.Errorf("experiments: E16 %dx%d workers=%d fingerprint %x != sequential %x",
-					sz.w, sz.h, w, fp, firstFP)
-			}
-			t.AddRow(fmt.Sprintf("%dx%d", sz.w, sz.h), w, bm.Platform.Mesh.NumNodes(),
-				bm.Platform.Regions.Num(), fmt.Sprintf("%.0f", cps), bm.Flits(), det)
-			res.Metrics[fmt.Sprintf("cycles_per_sec_%dx%d_w%d", sz.w, sz.h, w)] = cps
-			bm.Sim.Shutdown()
+const e16Cycles = 2000
+
+// ScalingThroughput is experiment E16: full-system throughput (simulated
+// cycles per wall-clock second) of the sequential kernel versus mesh
+// size, on complete torus platforms set up through the real
+// configuration path — including 16x16, which only exists thanks to
+// hierarchical config regions. For every mesh size it also checks the
+// delivery fingerprint against its pinned value. The cycles/sec numbers
+// are wall-clock measurements and machine-dependent, so E16 is excluded
+// from the golden experiment output (All) and surfaces through
+// daelite-bench -json instead.
+func ScalingThroughput() (*Result, error) {
+	res := newResult("E16", "kernel throughput")
+	t := report.NewTable("E16 — simulated cycles/sec vs mesh size (full platforms, regioned set-up)",
+		"Mesh", "Elements", "Regions", "Cycles/sec", "Flits")
+	for _, m := range e16Meshes {
+		bm, err := BuildBigMesh(m.w, m.h, 8)
+		if err != nil {
+			return nil, err
 		}
+		start := time.Now()
+		bm.Run(e16Cycles)
+		cps := float64(e16Cycles) / time.Since(start).Seconds()
+		if fp := bm.Fingerprint(); fp != m.fp {
+			return nil, fmt.Errorf("experiments: E16 %dx%d fingerprint %#x != pinned %#x", m.w, m.h, fp, m.fp)
+		}
+		t.AddRow(fmt.Sprintf("%dx%d", m.w, m.h), bm.Platform.Mesh.NumNodes(),
+			bm.Platform.Regions.Num(), fmt.Sprintf("%.0f", cps), bm.Flits())
+		res.Metrics[fmt.Sprintf("cycles_per_sec_%dx%d", m.w, m.h)] = cps
 	}
-	sb.WriteString(t.Render())
-	sb.WriteString(fmt.Sprintf("\nGOMAXPROCS %d; every worker count reproduced the sequential fingerprint bit-identically.\n", ncpu))
-	res.Text = sb.String()
+	res.Text = t.Render() + "\nEvery mesh reproduced its pinned delivery fingerprint.\n"
 	return res, nil
 }

@@ -108,7 +108,6 @@ func TraceBreakdown() (*Result, error) {
 		res.Metrics[fmt.Sprintf("inject_cycles_%s", v.name)] = float64(totInject)
 		res.Metrics[fmt.Sprintf("settle_cycles_%s", v.name)] = float64(totSettle)
 		res.Metrics[fmt.Sprintf("total_cycles_%s", v.name)] = float64(totTotal)
-		p.Sim.Shutdown()
 	}
 	res.Metrics["span_mismatches"] = float64(mismatches)
 	sb.WriteString(t.Render())

@@ -68,18 +68,51 @@ type Delivery struct {
 	Cycle uint64 // cycle the word entered the receive queue
 }
 
+// fifo is a queue over a reusable backing array: popping advances a
+// head index, and a push that finds the array full first slides the
+// live entries down to the front. A queue whose depth is bounded
+// therefore stops allocating once its array has grown to that depth.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// at returns the i-th live entry, 0 being the head.
+func (q *fifo[T]) at(i int) T { return q.buf[q.head+i] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop drops k entries from the head.
+func (q *fifo[T]) pop(k int) {
+	q.head += k
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
 // channel is the per-channel state. IP-side mutations (Send, Recv) are
 // buffered in pending fields and applied at Commit, so that the NI's Eval
 // always observes last cycle's settled queues regardless of component
 // evaluation order.
 type channel struct {
 	flags uint8
+	// touched marks a channel that Send or Recv changed this cycle; it
+	// is on the NI's touched list until Commit applies the change.
+	touched bool
 
-	sendQ    []queuedWord
+	sendQ    fifo[queuedWord]
 	pendSend []queuedWord
-	recvQ    []Delivery
+	recvQ    fifo[Delivery]
 	// recvCursor counts words the IP consumed this cycle; the head of
-	// recvQ is trimmed at Commit.
+	// recvQ is popped at Commit.
 	recvCursor int
 
 	// credit is the source-side counter: free words at the remote
@@ -125,6 +158,11 @@ type NI struct {
 	inWire  *sim.Reg[phit.Flit] // from router (owned by router)
 	inReg   *sim.Reg[phit.Flit] // first buffering stage
 	outWire *sim.Reg[phit.Flit] // to router (owned by NI)
+	// inIdle and outIdle record that inReg and outWire already hold the
+	// zero flit, so an idle value is not re-driven. Invariant: the flag
+	// implies the register carries phit.Idle(); the fault injector, the
+	// only other writer of outWire, only overwrites driven wires.
+	inIdle, outIdle bool
 
 	table    *slots.NITable
 	channels []*channel
@@ -134,6 +172,9 @@ type NI struct {
 	// within the same cycle observe pre-edge state.
 	pendingPush []pendingDelivery
 	pendingPop  []int // channels whose send queue head was consumed
+	// touched lists the channels Send or Recv changed this cycle, the
+	// only ones whose pending IP-side state Commit must apply.
+	touched []int
 
 	// Configuration tree node state (NIs are leaves of the tree but the
 	// plumbing is generic).
@@ -186,6 +227,8 @@ func New(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 		cfgInReg:  sim.NewReg(s, phit.ConfigWord{}),
 		respMerge: sim.NewReg(s, phit.Response{}),
 		respOut:   sim.NewReg(s, phit.Response{}),
+		inIdle:    true,
+		outIdle:   true,
 	}
 	n.channels = make([]*channel, params.NumChannels)
 	for i := range n.channels {
@@ -239,7 +282,7 @@ func (n *NI) Table() *slots.NITable { return n.table }
 // CanSend reports whether channel ch can accept another word from the IP.
 func (n *NI) CanSend(ch int) bool {
 	c := n.channels[ch]
-	return len(c.sendQ)+len(c.pendSend) < n.params.SendQueueDepth
+	return c.sendQ.len()+len(c.pendSend) < n.params.SendQueueDepth
 }
 
 // Send enqueues one word for transmission on channel ch. It returns false
@@ -247,20 +290,29 @@ func (n *NI) CanSend(ch int) bool {
 // eligible for injection on the next cycle (two-phase safety).
 func (n *NI) Send(ch int, w phit.Word) bool {
 	c := n.channels[ch]
-	if c.flags&cfgproto.FlagOpen == 0 || len(c.sendQ)+len(c.pendSend) >= n.params.SendQueueDepth {
+	if c.flags&cfgproto.FlagOpen == 0 || c.sendQ.len()+len(c.pendSend) >= n.params.SendQueueDepth {
 		n.rejected++
 		return false
 	}
 	tag := phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, SubmitCycle: n.curCycle}
 	c.seq++
 	c.pendSend = append(c.pendSend, queuedWord{word: w, tag: tag})
+	n.touch(ch, c)
 	return true
+}
+
+// touch puts channel ch on the touched list once per cycle.
+func (n *NI) touch(ch int, c *channel) {
+	if !c.touched {
+		c.touched = true
+		n.touched = append(n.touched, ch)
+	}
 }
 
 // RecvLen returns the number of words available to the IP on channel ch.
 func (n *NI) RecvLen(ch int) int {
 	c := n.channels[ch]
-	return len(c.recvQ) - c.recvCursor
+	return c.recvQ.len() - c.recvCursor
 }
 
 // Recv pops one delivered word from channel ch, returning ok=false when
@@ -268,19 +320,20 @@ func (n *NI) RecvLen(ch int) int {
 // credit to be returned to the remote source.
 func (n *NI) Recv(ch int) (Delivery, bool) {
 	c := n.channels[ch]
-	if c.recvCursor >= len(c.recvQ) {
+	if c.recvCursor >= c.recvQ.len() {
 		return Delivery{}, false
 	}
-	d := c.recvQ[c.recvCursor]
+	d := c.recvQ.at(c.recvCursor)
 	c.recvCursor++
 	c.pendDelivered++
+	n.touch(ch, c)
 	return d, true
 }
 
 // SendQueueLen returns the occupancy of channel ch's send queue.
 func (n *NI) SendQueueLen(ch int) int {
 	c := n.channels[ch]
-	return len(c.sendQ) + len(c.pendSend)
+	return c.sendQ.len() + len(c.pendSend)
 }
 
 // Credit returns the source-side credit counter of channel ch.
@@ -325,7 +378,9 @@ func (n *NI) Stats() (injected, delivered uint64) { return n.injected, n.deliver
 // warns about).
 func (n *NI) Dropped() uint64 { return n.dropped }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. Like the router's, it writes a register
+// only when the value changes: idle flits are not re-driven over idle
+// ones, and the configuration-tree stages are compared first.
 func (n *NI) Eval(cycle uint64) {
 	n.curCycle = cycle
 	// Stage 1: latch the input wire.
@@ -333,7 +388,10 @@ func (n *NI) Eval(cycle uint64) {
 	if n.inWire != nil {
 		inFlit = n.inWire.Get()
 	}
-	n.inReg.Set(inFlit)
+	if idle := inFlit.IsIdle(); !idle || !n.inIdle {
+		n.inReg.Set(inFlit)
+		n.inIdle = idle
+	}
 
 	// The slot/word position of the value our registers present next
 	// cycle.
@@ -370,8 +428,8 @@ func (n *NI) Eval(cycle uint64) {
 
 			// Payload: send if a word is queued and, unless
 			// multicast, a credit is available.
-			if len(ch.sendQ) > 0 && (ch.flags&cfgproto.FlagMulticast != 0 || ch.credit > 0) {
-				qw := ch.sendQ[0]
+			if ch.sendQ.len() > 0 && (ch.flags&cfgproto.FlagMulticast != 0 || ch.credit > 0) {
+				qw := ch.sendQ.at(0)
 				n.pendingPop = append(n.pendingPop, entry.TX)
 				if ch.flags&cfgproto.FlagMulticast == 0 {
 					ch.credit--
@@ -382,12 +440,15 @@ func (n *NI) Eval(cycle uint64) {
 				out.Tag.InjectCycle = c1
 				n.injected++
 				ch.txWords++
-			} else if len(ch.sendQ) > 0 {
+			} else if ch.sendQ.len() > 0 {
 				ch.creditStall++
 			}
 		}
 	}
-	n.outWire.Set(out)
+	if idle := out.IsIdle(); !idle || !n.outIdle {
+		n.outWire.Set(out)
+		n.outIdle = idle
+	}
 
 	// Receive path: the second buffering stage accepts the input
 	// register's value during the slot after it appeared on the link.
@@ -402,7 +463,7 @@ func (n *NI) Eval(cycle uint64) {
 			}
 		}
 		if in.Valid {
-			if len(ch.recvQ)+n.pendingFor(entry.RX) < n.params.RecvQueueDepth {
+			if ch.recvQ.len()+n.pendingFor(entry.RX) < n.params.RecvQueueDepth {
 				n.pendingPush = append(n.pendingPush, pendingDelivery{
 					ch: entry.RX,
 					d:  Delivery{Word: in.Data, Tag: in.Tag, Cycle: c1},
@@ -423,17 +484,26 @@ func (n *NI) Eval(cycle uint64) {
 	if n.cfgIn != nil {
 		cfgWord = n.cfgIn.Get()
 	}
-	n.cfgInReg.Set(cfgWord)
-	for _, outw := range n.cfgOuts {
-		outw.Set(n.cfgInReg.Get())
+	if n.cfgInReg.Get() != cfgWord {
+		n.cfgInReg.Set(cfgWord)
 	}
-	localResp := n.dec.Feed(n.cfgInReg.Get())
+	word := n.cfgInReg.Get()
+	for _, outw := range n.cfgOuts {
+		if outw.Get() != word {
+			outw.Set(word)
+		}
+	}
+	localResp := n.dec.Feed(word)
 	merged := localResp
 	for _, inw := range n.respIns {
 		merged = phit.Merge(merged, inw.Get())
 	}
-	n.respMerge.Set(merged)
-	n.respOut.Set(n.respMerge.Get())
+	if n.respMerge.Get() != merged {
+		n.respMerge.Set(merged)
+	}
+	if m := n.respMerge.Get(); n.respOut.Get() != m {
+		n.respOut.Set(m)
+	}
 }
 
 func (n *NI) pendingFor(ch int) int {
@@ -447,35 +517,33 @@ func (n *NI) pendingFor(ch int) int {
 }
 
 // Commit implements sim.Component: apply queue mutations decided in Eval
-// (network-side pops and pushes) and by the IP-side API during other
-// components' Eval (pending sends, consumed deliveries).
+// (network-side pops and pushes, each on its own list) and by the
+// IP-side API during other components' Eval (pending sends, consumed
+// deliveries — only on the channels Send and Recv touched).
 func (n *NI) Commit() {
 	for _, ch := range n.pendingPop {
-		c := n.channels[ch]
-		if len(c.sendQ) > 0 {
-			c.sendQ = c.sendQ[1:]
+		if c := n.channels[ch]; c.sendQ.len() > 0 {
+			c.sendQ.pop(1)
 		}
 	}
 	n.pendingPop = n.pendingPop[:0]
 	for _, p := range n.pendingPush {
-		c := n.channels[p.ch]
-		c.recvQ = append(c.recvQ, p.d)
+		n.channels[p.ch].recvQ.push(p.d)
 	}
 	n.pendingPush = n.pendingPush[:0]
-	for _, c := range n.channels {
-		if len(c.pendSend) > 0 {
-			c.sendQ = append(c.sendQ, c.pendSend...)
-			c.pendSend = c.pendSend[:0]
+	for _, ch := range n.touched {
+		c := n.channels[ch]
+		c.touched = false
+		for _, qw := range c.pendSend {
+			c.sendQ.push(qw)
 		}
-		if c.recvCursor > 0 {
-			c.recvQ = c.recvQ[c.recvCursor:]
-			c.recvCursor = 0
-		}
-		if c.pendDelivered > 0 {
-			c.delivered += c.pendDelivered
-			c.pendDelivered = 0
-		}
+		c.pendSend = c.pendSend[:0]
+		c.recvQ.pop(c.recvCursor)
+		c.recvCursor = 0
+		c.delivered += c.pendDelivered
+		c.pendDelivered = 0
 	}
+	n.touched = n.touched[:0]
 }
 
 // Quiescence implements sim.Quiescer. The NI is quiet when every
@@ -489,7 +557,7 @@ func (n *NI) Commit() {
 // is frozen.
 func (n *NI) Quiescence(now uint64) sim.Quiescence {
 	for _, c := range n.channels {
-		if len(c.sendQ) > 0 || len(c.pendSend) > 0 || len(c.recvQ) > 0 ||
+		if c.sendQ.len() > 0 || len(c.pendSend) > 0 || c.recvQ.len() > 0 ||
 			c.recvCursor != 0 || c.delivered != 0 || c.pendDelivered != 0 ||
 			c.txCreditLatch != 0 || c.rxCreditAccum != 0 {
 			return sim.Quiescence{}

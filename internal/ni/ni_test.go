@@ -368,3 +368,46 @@ func TestDroppedCounter(t *testing.T) {
 		t.Fatalf("flow-controlled channel dropped %d", d.Dropped())
 	}
 }
+
+// TestSteadyStreamAllocatesNothing: once its queues have grown to their
+// working depth, an NI pushing and popping a continuous word stream
+// allocates nothing per cycle — the send and receive queues reuse their
+// backing arrays instead of re-slicing past them.
+func TestSteadyStreamAllocatesNothing(t *testing.T) {
+	p := params()
+	s, a, b := pair(t, p)
+	tx := slots.MaskOf(p.Wheel, 0, 2, 4, 6)
+	arm(t, a, b, tx, tx, p.RecvQueueDepth, false)
+	var sent, received uint64
+	cycle := func() {
+		if a.CanSend(0) && a.Send(0, phit.Word(sent)) {
+			sent++
+		}
+		for {
+			if _, ok := b.Recv(0); !ok {
+				break
+			}
+			received++
+		}
+		s.Step()
+	}
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	// One measured run of 10k cycles: AllocsPerRun divides the count by
+	// the run count in integers, so per-cycle runs would hide an
+	// allocation every few cycles.
+	const cycles = 10_000
+	before := received
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations in %d cycles, want 0", allocs, cycles)
+	}
+	if received-before < cycles/4 {
+		t.Fatalf("only %d words delivered in the measured window", received-before)
+	}
+}

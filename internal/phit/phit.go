@@ -66,6 +66,13 @@ type Tag struct {
 // Idle returns the value of an idle link.
 func Idle() Flit { return Flit{} }
 
+// IsIdle reports whether f is the idle (zero) flit. It equals
+// f == Idle() but tests the flags first and inlines, which matters on
+// the per-cycle paths that skip re-driving idle wires.
+func (f Flit) IsIdle() bool {
+	return !f.Valid && !f.CreditValid && f.Credit == 0 && f.Data == 0 && f.Tag == Tag{}
+}
+
 // Inert reports whether the flit changes no architectural state when it
 // arrives at an NI: no payload word, and no credit value (a CreditValid
 // flit carrying zero credits is the steady-state emission of an open but

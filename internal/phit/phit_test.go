@@ -80,3 +80,24 @@ func TestMaxCreditValue(t *testing.T) {
 		t.Fatalf("MaxCreditValue = %d, want 63 (6-bit counter per the paper)", MaxCreditValue)
 	}
 }
+
+// TestIsIdleMatchesZeroCompare: IsIdle agrees with comparing against the
+// zero flit when any single field is set.
+func TestIsIdleMatchesZeroCompare(t *testing.T) {
+	flits := []Flit{
+		{},
+		{Valid: true},
+		{Data: 1},
+		{Credit: 1},
+		{CreditValid: true},
+		{Tag: Tag{Channel: 1}},
+		{Tag: Tag{Seq: 1}},
+		{Tag: Tag{SubmitCycle: 1}},
+		{Tag: Tag{InjectCycle: 1}},
+	}
+	for _, f := range flits {
+		if got, want := f.IsIdle(), f == Idle(); got != want {
+			t.Errorf("%+v: IsIdle() = %v, want %v", f, got, want)
+		}
+	}
+}

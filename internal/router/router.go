@@ -54,11 +54,14 @@ type Router struct {
 	inWires  []*sim.Reg[phit.Flit]
 	inRegs   []*sim.Reg[phit.Flit] // first buffering stage
 	outWires []*sim.Reg[phit.Flit]
-	// outIdle[o] records that output o already holds the zero flit, so
-	// unreserved slots need no re-drive. Invariant: outIdle[o] implies
-	// outWires[o] carries phit.Idle() — external writers (the fault
-	// injector) only ever overwrite driven (non-idle) wires with idle,
-	// never the reverse.
+	// inIdle[i] and outIdle[o] record that input register i and output
+	// wire o already hold the zero flit, so an idle value needs no
+	// re-drive. Invariant: the flag implies the register carries
+	// phit.Idle(). Only the router writes inRegs; the one external
+	// writer of output wires, the fault injector, only ever overwrites
+	// driven (non-idle) wires, and a forced value is idle or a flipped
+	// valid flit, never a non-idle value on an idle wire.
+	inIdle  []bool
 	outIdle []bool
 
 	table *slots.RouterTable
@@ -100,6 +103,7 @@ func New(s *sim.Simulator, name string, id int, numIn, numOut int, params Params
 		inWires:   make([]*sim.Reg[phit.Flit], numIn),
 		inRegs:    make([]*sim.Reg[phit.Flit], numIn),
 		outWires:  make([]*sim.Reg[phit.Flit], numOut),
+		inIdle:    make([]bool, numIn),
 		outIdle:   make([]bool, numOut),
 		outBusy:   make([]uint64, numOut),
 		table:     slots.NewRouterTable(numOut, params.Wheel),
@@ -109,6 +113,7 @@ func New(s *sim.Simulator, name string, id int, numIn, numOut int, params Params
 	}
 	for i := range r.inRegs {
 		r.inRegs[i] = sim.NewReg(s, phit.Idle())
+		r.inIdle[i] = true
 	}
 	for o := range r.outWires {
 		r.outWires[o] = sim.NewReg(s, phit.Idle())
@@ -170,15 +175,28 @@ func (r *Router) OutputBusy(o int) uint64 { return r.outBusy[o] }
 // NumOutputs returns the router's output port count.
 func (r *Router) NumOutputs() int { return len(r.outWires) }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. Registers are written only when their
+// value changes: an idle flit is not re-latched over an idle one, and
+// the configuration-tree stages are compared before they are driven.
+// By the inIdle/outIdle invariant and because the router owns the
+// config-tree registers, a skipped write leaves exactly the value the
+// write would have latched.
 func (r *Router) Eval(cycle uint64) {
 	// Stage 1: latch input wires into the input registers.
 	for i, w := range r.inWires {
+		var f phit.Flit
 		if w != nil {
-			r.inRegs[i].Set(w.Get())
-		} else {
-			r.inRegs[i].Set(phit.Idle())
+			f = w.Get()
 		}
+		if f.IsIdle() {
+			if r.inIdle[i] {
+				continue
+			}
+			r.inIdle[i] = true
+		} else {
+			r.inIdle[i] = false
+		}
+		r.inRegs[i].Set(f)
 	}
 
 	// Stage 2: crossbar. The output registers present their values
@@ -187,22 +205,22 @@ func (r *Router) Eval(cycle uint64) {
 	outSlot := slots.SlotOfCycle(cycle+1, r.params.SlotWords, r.params.Wheel)
 	for o := range r.outWires {
 		// Bitset early-out: one occupancy-word test replaces the packed
-		// selector decode for the (common) unreserved slots, and an
-		// already-idle wire needs no re-drive at all.
-		if !r.table.Occupied(o, outSlot) {
+		// selector decode for the (common) unreserved slots.
+		var f phit.Flit
+		if r.table.Occupied(o, outSlot) {
+			if in := r.table.Input(o, outSlot); in < len(r.inRegs) {
+				f = r.inRegs[in].Get()
+			}
+		}
+		if f.IsIdle() {
+			// An already-idle wire needs no re-drive at all.
 			if !r.outIdle[o] {
-				r.outWires[o].Set(phit.Idle())
+				r.outWires[o].Set(f)
 				r.outIdle[o] = true
 			}
 			continue
 		}
 		r.outIdle[o] = false
-		in := r.table.Input(o, outSlot)
-		if in >= len(r.inRegs) {
-			r.outWires[o].Set(phit.Idle())
-			continue
-		}
-		f := r.inRegs[in].Get()
 		if f.Valid {
 			r.forwarded++
 			r.outBusy[o]++
@@ -216,19 +234,28 @@ func (r *Router) Eval(cycle uint64) {
 	if r.cfgIn != nil {
 		inWord = r.cfgIn.Get()
 	}
-	r.cfgInReg.Set(inWord)
-	for _, out := range r.cfgOuts {
-		out.Set(r.cfgInReg.Get())
+	if r.cfgInReg.Get() != inWord {
+		r.cfgInReg.Set(inWord)
 	}
-	localResp := r.dec.Feed(r.cfgInReg.Get())
+	word := r.cfgInReg.Get()
+	for _, out := range r.cfgOuts {
+		if out.Get() != word {
+			out.Set(word)
+		}
+	}
+	localResp := r.dec.Feed(word)
 
 	// Reverse path: merge children and local response, buffered twice.
 	merged := localResp
 	for _, in := range r.respIns {
 		merged = phit.Merge(merged, in.Get())
 	}
-	r.respMerge.Set(merged)
-	r.respOut.Set(r.respMerge.Get())
+	if r.respMerge.Get() != merged {
+		r.respMerge.Set(merged)
+	}
+	if m := r.respMerge.Get(); r.respOut.Get() != m {
+		r.respOut.Set(m)
+	}
 }
 
 // Commit implements sim.Component; all state lives in sim.Reg.

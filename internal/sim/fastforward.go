@@ -14,7 +14,7 @@ package sim
 // cannot change while every component is inert), same traces.
 //
 // Correctness is default-deny. Every component registered with the
-// simulator — parallel set and ordered tail alike — must implement
+// simulator — Add'ed set and ordered tail alike — must implement
 // Quiescer and report Quiet, and every registered quiescence gate must
 // agree, or no cycle is ever skipped. A component that cannot prove its
 // own inertness simply doesn't implement the interface and thereby
@@ -74,9 +74,8 @@ type FastForwardHook func(from, to uint64)
 // Idler is implemented by components whose Eval *and* Commit are
 // complete no-ops while Idle() reports true — no Set calls, no state
 // writes, no side effects. The kernel then skips both calls for the
-// cycle, per shard, saving the call and the register-dirtying work.
-// Idle is checked once at the start of each Eval phase and the verdict
-// is reused for the matching Commit phase, so a component whose Commit
+// cycle. Idle is checked once per cycle, in the Eval phase, and the
+// verdict is reused for the matching Commit phase, so a component whose Commit
 // can be armed by an ordered-tail Eval (an NI accepting host sends) must
 // NOT implement Idler.
 type Idler interface {
@@ -160,7 +159,7 @@ func (s *Simulator) ffScan(now uint64) {
 		return true
 	}
 	// Ordered tail first (traffic endpoints and injectors are the usual
-	// culprits), then gates, then the parallel set.
+	// culprits), then gates, then the Add'ed set.
 	for _, c := range s.ordered {
 		qc := c.(Quiescer)
 		if !note(qc.Quiescence(now)) {
@@ -174,8 +173,7 @@ func (s *Simulator) ffScan(now uint64) {
 			return
 		}
 	}
-	for i := range s.components {
-		q := s.quiescers[i]
+	for _, q := range s.quiescers {
 		if q == nil {
 			s.ffLastBusy = now
 			return

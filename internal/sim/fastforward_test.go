@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // quietComp is a component that is always quiescent: its Eval counts
 // invocations (so tests can see exactly which cycles ran for real) but
@@ -225,26 +222,5 @@ func TestIdlerSkipsEvalAndCommit(t *testing.T) {
 	s.Run(10)
 	if l.evals != 10 || l.commits != 10 {
 		t.Fatalf("woken component ran %d evals, %d commits, want 10 each", l.evals, l.commits)
-	}
-}
-
-func TestIdlerSkipsUnderParallelKernel(t *testing.T) {
-	s := NewWithOptions(Options{Workers: runtime.NumCPU()})
-	defer s.Shutdown()
-	const n = 200 // well above minParallelComponents
-	comps := make([]*lazyComp, n)
-	for i := range comps {
-		comps[i] = &lazyComp{idle: i%2 == 0}
-		s.Add(comps[i])
-	}
-	s.Run(30)
-	for i, l := range comps {
-		want := 30
-		if i%2 == 0 {
-			want = 0
-		}
-		if l.evals != want || l.commits != want {
-			t.Fatalf("component %d: %d evals, %d commits, want %d", i, l.evals, l.commits, want)
-		}
 	}
 }

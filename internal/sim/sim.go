@@ -8,22 +8,21 @@
 // Because Eval never observes a value written in the same cycle, the result
 // is independent of component evaluation order and therefore deterministic.
 //
-// That order-independence is also what makes the Eval phase embarrassingly
-// parallel: NewWithOptions shards components and registers across a
-// persistent worker pool, with a barrier between the Eval, Commit and
-// register-commit phases of every Step, and the result stays bit-identical
-// to the sequential kernel. Components that deliberately break the
-// order-independence contract — traffic endpoints that drain NI queues,
-// fault injectors that override pending wire values — register through
-// AddOrdered instead of Add and run sequentially, in registration order,
-// after the parallel set in both phases. Probes and Stop handling always
-// stay sequential on the stepping goroutine.
+// The kernel is sequential and write-driven. A register that is Set joins
+// its simulator's dirty list, and the register-commit phase latches only
+// that list, so a cycle costs in proportion to the registers actually
+// written rather than to the registers that exist. Components that
+// deliberately break the order-independence contract — traffic endpoints
+// that drain NI queues, fault injectors that override pending wire
+// values — register through AddOrdered instead of Add and run, in
+// registration order, after the Add'ed set in both phases.
 package sim
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Component is a piece of synchronous hardware. Eval computes next state
@@ -41,28 +40,34 @@ type Component interface {
 
 // Reg is a single-cycle register (a bank of flip-flops) holding a value of
 // type T. Get returns the currently latched value; Set schedules the value
-// to appear after the next Commit. A Reg must be committed exactly once per
-// cycle, which the Simulator does for registers created via NewReg.
+// to appear after the next clock edge. A register that is not Set in a
+// cycle keeps its value and costs the kernel nothing.
 type Reg[T any] struct {
 	cur, next T
 	dirty     bool
+	s         *Simulator
 }
 
-// NewReg returns a register initialized to v, registered with s so that it
-// is committed automatically every cycle.
+// NewReg returns a register initialized to v, owned by s: s latches it at
+// the end of every cycle in which it was Set.
 func NewReg[T any](s *Simulator, v T) *Reg[T] {
-	r := &Reg[T]{cur: v, next: v}
-	s.addReg(r)
-	return r
+	s.regs++
+	return &Reg[T]{cur: v, s: s}
 }
 
 // Get returns the currently latched value.
 func (r *Reg[T]) Get() T { return r.cur }
 
-// Set schedules v to become visible after the next clock edge.
+// Set schedules v to become visible after the next clock edge. The first
+// Set of a cycle puts the register on its simulator's dirty list; later
+// Sets in the same cycle only replace the pending value. A Set made
+// between Steps (from a probe or host code) is latched by the next Step.
 func (r *Reg[T]) Set(v T) {
 	r.next = v
-	r.dirty = true
+	if !r.dirty {
+		r.dirty = true
+		r.s.dirty = append(r.s.dirty, r)
+	}
 }
 
 // Peek returns the pending next value if one was Set this cycle, else the
@@ -75,10 +80,8 @@ func (r *Reg[T]) Peek() T {
 }
 
 func (r *Reg[T]) commit() {
-	if r.dirty {
-		r.cur = r.next
-		r.dirty = false
-	}
+	r.cur = r.next
+	r.dirty = false
 }
 
 // committer is the untyped view of a register used by the simulator.
@@ -88,29 +91,33 @@ type committer interface{ commit() }
 // completed. Probes observe fully settled state.
 type Probe func(cycle uint64)
 
-// Simulator owns the clock, the component list, and all registers.
+// idler is an Add'ed component that implements Idler. skip records the
+// Idle() verdict taken in the Eval phase so the Commit phase skips the
+// exact same set.
+type idler struct {
+	c    Component
+	idl  Idler
+	skip bool
+}
+
+// Simulator owns the clock, the component lists, and the dirty list of
+// registers written in the current cycle.
 type Simulator struct {
+	// The Add'ed set is split so the common case, a component that never
+	// idles, costs one interface call per phase and nothing else.
 	components []Component
-	ordered    []Component
-	regs       []committer
-	probes     []Probe
-	cycle      uint64
-
-	workers int
-	pool    *workerPool
-
-	// Cached interface views of the parallel set, index-aligned with
-	// components: idlers[i] is non-nil iff components[i] implements
-	// Idler, likewise quiescers[i]. idleSkip[i] records the Idle()
-	// verdict taken at the start of the Eval phase so the Commit phase
-	// skips the exact same set.
-	idlers    []Idler
-	idleSkip  []bool
-	nIdlers   int
+	idlers     []idler
+	// quiescers has one entry per Add'ed component, in Add order: its
+	// Quiescer view, or nil when it has none.
 	quiescers []Quiescer
+	ordered   []Component
+	dirty     []committer
+	regs      int
+	probes    []Probe
+	cycle     uint64
 
 	// Fast-forward state (see fastforward.go). nonQuiescers counts
-	// registered components — parallel and ordered — that do not
+	// registered components — Add'ed and ordered — that do not
 	// implement Quiescer; any such component pins the simulator to
 	// cycle-accurate execution (default-deny).
 	nonQuiescers int
@@ -125,34 +132,25 @@ type Simulator struct {
 	ffHorizon    uint64
 	ffBusy       func(uint64) Quiescence
 
+	// Stop may arrive from another goroutine (a signal handler), so the
+	// flag Run polls every cycle is atomic and the reason is guarded.
+	stopped    atomic.Bool
 	stopMu     sync.Mutex
-	stopped    bool
 	stopReason string
 }
 
-// New returns an empty sequential simulator at cycle 0. Use
-// NewWithOptions to enable the parallel kernel.
-func New() *Simulator {
-	return NewWithOptions(Options{Workers: 1})
-}
+// New returns an empty simulator at cycle 0.
+func New() *Simulator { return &Simulator{} }
 
-// NewWithOptions returns an empty simulator at cycle 0 with the given
-// execution options. See Options.Workers for the parallelism knob.
-func NewWithOptions(o Options) *Simulator {
-	return &Simulator{workers: resolveWorkers(o.Workers)}
-}
-
-// Add registers a component with the simulator. Components added this way
-// may be evaluated concurrently: their Eval must only read foreign state
-// through Reg.Get and write through Regs (or plain state) they own, so
-// that the result is independent of evaluation order.
+// Add registers a component with the simulator. Its Eval must only read
+// foreign state through Reg.Get and write through Regs (or plain state)
+// it owns, so that the result is independent of evaluation order: the
+// kernel evaluates components that implement Idler after the others.
 func (s *Simulator) Add(c Component) {
-	s.components = append(s.components, c)
-	idl, _ := c.(Idler)
-	s.idlers = append(s.idlers, idl)
-	s.idleSkip = append(s.idleSkip, false)
-	if idl != nil {
-		s.nIdlers++
+	if idl, ok := c.(Idler); ok {
+		s.idlers = append(s.idlers, idler{c: c, idl: idl})
+	} else {
+		s.components = append(s.components, c)
 	}
 	q, _ := c.(Quiescer)
 	s.quiescers = append(s.quiescers, q)
@@ -168,10 +166,8 @@ func (s *Simulator) Add(c Component) {
 // AddOrdered registers a component that depends on evaluation order:
 // its Eval reads or writes state owned by other components (a traffic
 // endpoint draining an NI queue, a fault injector overriding pending
-// wire values via Peek/Set). Ordered components run sequentially on the
-// stepping goroutine, in registration order, after all Add'ed
-// components have finished each phase — the same position a component
-// added last held under the sequential kernel.
+// wire values via Peek/Set). Ordered components run in registration
+// order after all Add'ed components have finished each phase.
 func (s *Simulator) AddOrdered(c Component) {
 	s.ordered = append(s.ordered, c)
 	if _, ok := c.(Quiescer); !ok {
@@ -183,10 +179,6 @@ func (s *Simulator) AddOrdered(c Component) {
 	s.ffQuiet = false
 }
 
-func (s *Simulator) addReg(r committer) {
-	s.regs = append(s.regs, r)
-}
-
 // AddProbe registers a probe run after each cycle's commit phase.
 func (s *Simulator) AddProbe(p Probe) {
 	s.probes = append(s.probes, p)
@@ -196,14 +188,14 @@ func (s *Simulator) AddProbe(p Probe) {
 func (s *Simulator) Cycle() uint64 { return s.cycle }
 
 // Stop requests that the simulation halt after the current cycle completes.
-// It is safe to call from concurrently evaluating components; the first
-// caller's reason is retained.
+// It is safe to call from another goroutine; the first caller's reason is
+// retained.
 func (s *Simulator) Stop(reason string) {
 	s.stopMu.Lock()
 	defer s.stopMu.Unlock()
-	if !s.stopped {
-		s.stopped = true
+	if !s.stopped.Load() {
 		s.stopReason = reason
+		s.stopped.Store(true)
 	}
 }
 
@@ -211,109 +203,52 @@ func (s *Simulator) Stop(reason string) {
 func (s *Simulator) Stopped() (bool, string) {
 	s.stopMu.Lock()
 	defer s.stopMu.Unlock()
-	return s.stopped, s.stopReason
+	return s.stopped.Load(), s.stopReason
 }
 
-func (s *Simulator) halted() bool {
-	s.stopMu.Lock()
-	defer s.stopMu.Unlock()
-	return s.stopped
-}
+// Workers returns 1: the kernel is sequential. It remains for callers
+// that report the kernel's worker count.
+func (s *Simulator) Workers() int { return 1 }
+
+// Shutdown is a no-op kept for callers written against the former
+// worker-pool kernel, which had goroutines to release.
+func (s *Simulator) Shutdown() {}
 
 // Step advances the simulation by exactly one clock cycle: Eval of every
-// component (parallel set, then ordered tail), Commit likewise, then the
-// register commit, then the probes. Each phase finishes completely — a
-// barrier on the worker pool when the phase ran parallel — before the
-// next begins.
+// component (Add'ed set, then ordered tail), Commit likewise, then the
+// latch of every register Set this cycle, then the probes.
 func (s *Simulator) Step() {
 	cycle := s.cycle
-	// Platforms with no Idler components (the common case for short
-	// links) take the plain loops: no per-component idler lookup, no
-	// idleSkip bookkeeping, no closure escaping into the shard runner.
-	par := s.parallel(len(s.components), minParallelComponents)
-	switch {
-	case s.nIdlers == 0 && par:
-		s.runSharded(len(s.components), componentChunk, func(start, end int) {
-			for _, c := range s.components[start:end] {
-				c.Eval(cycle)
-			}
-		})
-	case s.nIdlers == 0:
-		for _, c := range s.components {
-			c.Eval(cycle)
+	for _, c := range s.components {
+		c.Eval(cycle)
+	}
+	for i := range s.idlers {
+		m := &s.idlers[i]
+		if m.skip = m.idl.Idle(); !m.skip {
+			m.c.Eval(cycle)
 		}
-	case par:
-		s.runSharded(len(s.components), componentChunk, func(start, end int) {
-			s.evalIdleAware(cycle, start, end)
-		})
-	default:
-		s.evalIdleAware(cycle, 0, len(s.components))
 	}
 	for _, c := range s.ordered {
 		c.Eval(cycle)
 	}
-
-	switch {
-	case s.nIdlers == 0 && par:
-		s.runSharded(len(s.components), componentChunk, func(start, end int) {
-			for _, c := range s.components[start:end] {
-				c.Commit()
-			}
-		})
-	case s.nIdlers == 0:
-		for _, c := range s.components {
-			c.Commit()
+	for _, c := range s.components {
+		c.Commit()
+	}
+	for i := range s.idlers {
+		if m := &s.idlers[i]; !m.skip {
+			m.c.Commit()
 		}
-	case par:
-		s.runSharded(len(s.components), componentChunk, s.commitIdleAware)
-	default:
-		s.commitIdleAware(0, len(s.components))
 	}
 	for _, c := range s.ordered {
 		c.Commit()
 	}
-
-	if s.parallel(len(s.regs), minParallelRegs) {
-		s.runSharded(len(s.regs), regChunk, func(start, end int) {
-			for _, r := range s.regs[start:end] {
-				r.commit()
-			}
-		})
-	} else {
-		for _, r := range s.regs {
-			r.commit()
-		}
+	for _, r := range s.dirty {
+		r.commit()
 	}
+	s.dirty = s.dirty[:0]
 	s.cycle++
 	for _, p := range s.probes {
 		p(s.cycle)
-	}
-}
-
-// evalIdleAware is the Eval shard body for platforms with Idler
-// components: an idle component's Eval is skipped and the verdict is
-// recorded so commitIdleAware skips the exact same set.
-func (s *Simulator) evalIdleAware(cycle uint64, start, end int) {
-	for i, c := range s.components[start:end] {
-		if idl := s.idlers[start+i]; idl != nil {
-			if idl.Idle() {
-				s.idleSkip[start+i] = true
-				continue
-			}
-			s.idleSkip[start+i] = false
-		}
-		c.Eval(cycle)
-	}
-}
-
-// commitIdleAware mirrors evalIdleAware for the Commit phase. idleSkip
-// entries of non-Idler components are never written and stay false.
-func (s *Simulator) commitIdleAware(start, end int) {
-	for i, c := range s.components[start:end] {
-		if s.idleSkip[start+i] {
-			continue
-		}
-		c.Commit()
 	}
 }
 
@@ -326,7 +261,7 @@ func (s *Simulator) Run(n uint64) uint64 {
 	// set-up requests), so any cached quiescence verdict is stale.
 	s.ffQuiet = false
 	var done uint64
-	for done < n && !s.halted() {
+	for done < n && !s.stopped.Load() {
 		if s.ffPeriod > 0 {
 			if skip := s.tryFastForward(n - done); skip > 0 {
 				done += skip
@@ -344,7 +279,7 @@ func (s *Simulator) Run(n uint64) uint64 {
 // condition first held and true, or the current cycle and false on timeout.
 func (s *Simulator) RunUntil(cond func() bool, budget uint64) (uint64, bool) {
 	for i := uint64(0); i < budget; i++ {
-		if s.halted() {
+		if s.stopped.Load() {
 			return s.cycle, false
 		}
 		s.Step()
@@ -356,11 +291,14 @@ func (s *Simulator) RunUntil(cond func() bool, budget uint64) (uint64, bool) {
 }
 
 // ComponentNames returns the sorted names of all registered components
-// (parallel set and ordered tail), useful for debugging platform assembly.
+// (Add'ed set and ordered tail), useful for debugging platform assembly.
 func (s *Simulator) ComponentNames() []string {
-	names := make([]string, 0, len(s.components)+len(s.ordered))
+	names := make([]string, 0, len(s.quiescers)+len(s.ordered))
 	for _, c := range s.components {
 		names = append(names, c.Name())
+	}
+	for _, m := range s.idlers {
+		names = append(names, m.c.Name())
 	}
 	for _, c := range s.ordered {
 		names = append(names, c.Name())
@@ -396,6 +334,6 @@ func (f *Func) Commit() {
 
 // String renders a short simulator status line.
 func (s *Simulator) String() string {
-	return fmt.Sprintf("sim{cycle=%d components=%d+%d regs=%d workers=%d}",
-		s.cycle, len(s.components), len(s.ordered), len(s.regs), s.workers)
+	return fmt.Sprintf("sim{cycle=%d components=%d+%d regs=%d}",
+		s.cycle, len(s.quiescers), len(s.ordered), s.regs)
 }

@@ -39,8 +39,8 @@ type MeshSpec struct {
 }
 
 // ParamsSpec mirrors core.Params; zero fields inherit defaults. Workers
-// sets the simulation kernel's parallelism (0 = one worker per CPU, 1 =
-// sequential); the simulated behaviour is identical for every value.
+// sizes the allocator's batch what-if evaluation (0 = one worker per
+// CPU); the result is identical for every value.
 type ParamsSpec struct {
 	Wheel          int `json:"wheel,omitempty"`
 	SlotWords      int `json:"slotWords,omitempty"`

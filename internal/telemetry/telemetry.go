@@ -9,9 +9,8 @@
 // simulator's stepping goroutine — either in a probe (which the kernel
 // runs sequentially after each cycle's commit) or in an ordered-tail
 // component's Eval (which is likewise sequential, in registration order).
-// Because the parallel kernel is bit-identical to the sequential one, a
-// registry exported after a seeded run is byte-identical for every worker
-// count; the root-level TestTelemetryDeterministic asserts exactly that.
+// A registry exported after a seeded run is therefore byte-identical for
+// every worker count; the root-level TestTelemetryDeterministic asserts exactly that.
 //
 // Concurrency contract. Writers are confined to the stepping goroutine as
 // above, but exporters may read concurrently (the -metrics-addr HTTP

@@ -11,7 +11,7 @@
 // come from plain counters in emission order, timestamps are simulation
 // cycles (never wall-clock), and the exporters iterate rings in
 // insertion order — so a trace exported from the same workload is
-// byte-identical for every kernel worker count.
+// byte-identical for every worker count.
 //
 // The tracer is also the flight recorder: finished spans and events
 // live in bounded rings (oldest dropped first), cheap enough to leave

@@ -125,7 +125,7 @@ func (r *Recorder) AddConfigWire(name string, w *sim.Reg[phit.ConfigWord]) *Sign
 // to the wires that explain it. The recorder and the telemetry harvest
 // both run in the probe phase on the stepping goroutine, so the VCD and
 // the registry see the same values in the same cycles regardless of the
-// kernel worker count; the trace steps at the harvest interval.
+// worker count; the trace steps at the harvest interval.
 func (r *Recorder) AddGauge(name string, g *telemetry.Gauge) *Signal {
 	return r.Add(name, Real, 0, func() string {
 		return strconv.FormatInt(g.Value(), 10)

@@ -103,7 +103,7 @@ func TestSanitize(t *testing.T) {
 // TestGaugeSignalsDeterministicAcrossWorkers drives Real-kind VCD signals
 // from telemetry gauges: the waveform and the registry are sampled in the
 // same probe pass, so the emitted VCD must be byte-identical for every
-// kernel worker count and the last traced value must equal what the
+// worker count and the last traced value must equal what the
 // registry reports.
 func TestGaugeSignalsDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) string {

@@ -35,7 +35,6 @@ func MutationSmoke(c *Compiled, workers int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	ck := conformance.Attach(p, reg, conformance.Options{SampleEvery: 32, LineRate: true})
 	node := func(co ConnReq) core.ConnectionSpec {

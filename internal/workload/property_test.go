@@ -136,7 +136,6 @@ func TestDNNPackAdmissibilityProperty(t *testing.T) {
 					seed, ph.Name, got, preFP)
 			}
 		}
-		p.Sim.Shutdown()
 	}
 }
 

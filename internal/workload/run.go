@@ -15,8 +15,9 @@ import (
 
 // RunOptions parameterizes one pack execution.
 type RunOptions struct {
-	// Workers selects the kernel worker count (0: the spec's, then
-	// GOMAXPROCS). Ignored when Platform is supplied.
+	// Workers is the platform's core.Params.Workers, the allocator
+	// batch worker count (0: the spec's, then GOMAXPROCS). Ignored when
+	// Platform is supplied.
 	Workers int
 	// FastForward arms model-guided fast-forwarding. Ignored when
 	// Platform is supplied.
@@ -142,7 +143,7 @@ func phaseBudget(ph *Phase, wheel int) uint64 {
 // link occupancy bit-for-bit, exact single-path and multicast latency,
 // complete delivery within the closed-form bandwidth bound, and
 // occupancy restoration after teardown. The entire run folds into a
-// fingerprint that must be bit-identical across kernel worker counts and
+// fingerprint that must be bit-identical across worker counts and
 // fast-forward on/off.
 func Run(c *Compiled, opt RunOptions) (*Result, error) {
 	p := opt.Platform
@@ -152,7 +153,6 @@ func Run(c *Compiled, opt RunOptions) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer p.Sim.Shutdown()
 	}
 	reg := opt.Registry
 	if reg == nil {

@@ -26,7 +26,6 @@ func TestScale16x16(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 	if n := p.Mesh.NumNodes(); n != 512 {
 		t.Fatalf("16x16 torus has %d elements, want 512", n)
 	}

@@ -2,7 +2,7 @@ package daelite
 
 // The telemetry determinism soak: the full observability surface — every
 // counter, gauge, histogram, series, span and event an exporter can see —
-// must be bit-identical for every kernel worker count. The test renders
+// must be bit-identical for every worker count. The test renders
 // both exporters (Prometheus text and NDJSON) after a seeded chaos soak
 // with traffic, link failures, stall detection and online repair, and
 // compares the bytes across worker counts. It is the observability
@@ -104,7 +104,7 @@ func runTelemetrySoak(t *testing.T, workers int, seed uint64, cycles int) (strin
 
 // TestTelemetryExportsDeterministic is the PR's headline invariant: the
 // rendered exports — every metric, span and event — are byte-identical
-// across kernel worker counts.
+// across worker counts.
 func TestTelemetryExportsDeterministic(t *testing.T) {
 	const seed, cycles = 42, 12000
 	promRef, ndRef := runTelemetrySoak(t, 1, seed, cycles)

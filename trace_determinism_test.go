@@ -33,7 +33,6 @@ func runTraceSoak(t *testing.T, workers int, seed uint64, cycles int) (string, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 	tr := tracing.New(tracing.Options{})
 	p.AttachTracer(tr)
 	rng := sim.NewRNG(seed)

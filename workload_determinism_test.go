@@ -2,7 +2,7 @@ package daelite
 
 // The workload-pack determinism soak: both example packs — the DNN
 // layer pipeline (multicast weight broadcasts, activation unicasts) and
-// the Tiny Tera VOQ matrix — executed under several kernel worker
+// the Tiny Tera VOQ matrix — executed under several worker
 // counts, cycle-accurately and with model-guided fast-forwarding.
 // Everything observable must be byte-identical to the single-worker
 // cycle-accurate reference: the run fingerprint, the rendered telemetry
@@ -41,7 +41,6 @@ func runWorkloadExports(t *testing.T, mkSpec func() *workload.Spec, workers int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	p.AttachTelemetry(reg, 8)
 	tr := tracing.New(tracing.Options{})
